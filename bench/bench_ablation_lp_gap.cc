@@ -10,7 +10,8 @@
 #include "graph/fractional_vc.h"
 #include "graph/vertex_cover.h"
 #include "lp/covering.h"
-#include "measures/repair_measures.h"
+#include "measures/measure.h"
+#include "measures/repair_instance.h"
 
 namespace dbim::bench {
 namespace {
@@ -34,42 +35,28 @@ int Run(const BenchArgs& args) {
 
     const ViolationDetector detector(dataset.schema, dataset.constraints);
     MeasureContext context(detector, db);
-    const ConflictGraph& cg = context.conflict_graph();
-    if (cg.HasHyperedges()) continue;  // all experiment DCs are binary
+    const RepairInstance& inst = context.repair_instance();
+    if (!inst.binary()) continue;  // all experiment DCs are binary
+    const SimpleGraph& g = inst.graph;
 
-    SimpleGraph g(cg.num_vertices());
-    std::vector<double> weights = cg.weights();
-    std::vector<bool> skip(cg.num_vertices(), false);
-    double forced = 0.0;
-    for (uint32_t v = 0; v < cg.num_vertices(); ++v) {
-      if (cg.self_inconsistent()[v]) {
-        skip[v] = true;
-        forced += cg.weights()[v];
-      }
-    }
-    for (const auto& [a, b] : cg.edges()) g.AddEdge(a, b);
-    g.Normalize();
+    // Exact cover with stats, kernelized on the instance's shared LP.
+    const VertexCoverResult cover =
+        MinWeightVertexCover(g, inst.weights, inst.lp);
+    const double exact = inst.forced_cost + cover.value;
 
-    // Exact cover with stats.
-    const VertexCoverResult cover = MinWeightVertexCover(g, weights);
-    const double exact = forced + cover.value;
-
-    // Fractional: flow path, with kernel statistics.
+    // Fractional: flow path (re-solved here for its time), with kernel
+    // statistics.
     Timer flow_timer;
-    const FractionalVcResult lp = FractionalVertexCover(g, weights);
+    const FractionalVcResult lp = FractionalVertexCover(g, inst.weights);
     const double flow_seconds = flow_timer.Seconds();
     size_t kernel = 0;
     for (const double x : lp.x) {
       if (x > 0.25 && x < 0.75) ++kernel;
     }
-    const double fractional = forced + lp.value;
+    const double fractional = inst.forced_cost + lp.value;
 
     // Simplex path on the identical covering LP.
-    CoveringProblem problem;
-    problem.costs = weights;
-    for (const auto& [a, b] : g.edges()) {
-      problem.sets.push_back({std::min(a, b), std::max(a, b)});
-    }
+    const CoveringProblem problem = inst.ToCovering();
     Timer simplex_timer;
     double simplex_seconds = -1.0;
     if (problem.sets.size() <= 4000) {  // dense tableau guard

@@ -15,8 +15,24 @@ void SimpleGraph::AddEdge(uint32_t a, uint32_t b) {
 }
 
 void SimpleGraph::Normalize() {
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
+  // Bucket the edges by their smaller endpoint (a counting sort), then sort
+  // and dedup each small bucket: the order std::sort would give, in
+  // O(n + m + sum d log d) instead of O(m log m).
+  std::vector<uint32_t> first(n_ + 1, 0);
+  for (const auto& [a, b] : edges_) ++first[a + 1];
+  for (size_t v = 0; v < n_; ++v) first[v + 1] += first[v];
+  std::vector<uint32_t> next(first.begin(), first.end() - 1);
+  std::vector<uint32_t> second(edges_.size());
+  for (const auto& [a, b] : edges_) second[next[a]++] = b;
+  edges_.clear();
+  for (uint32_t a = 0; a < n_; ++a) {
+    const auto begin = second.begin() + first[a];
+    const auto end = second.begin() + first[a + 1];
+    std::sort(begin, end);
+    for (auto it = begin; it != end; ++it) {
+      if (it == begin || *it != *(it - 1)) edges_.emplace_back(a, *it);
+    }
+  }
 }
 
 std::vector<std::vector<uint32_t>> SimpleGraph::AdjacencyLists() const {

@@ -210,54 +210,95 @@ class BnbSolver {
 VertexCoverResult MinWeightVertexCover(const SimpleGraph& g,
                                        const std::vector<double>& weights,
                                        const VertexCoverOptions& options) {
+  return MinWeightVertexCover(g, weights, FractionalVertexCover(g, weights),
+                              options);
+}
+
+VertexCoverResult MinWeightVertexCover(const SimpleGraph& g,
+                                       const std::vector<double>& weights,
+                                       const FractionalVcResult& lp,
+                                       const VertexCoverOptions& options) {
   const size_t n = g.num_vertices();
   DBIM_CHECK(weights.size() == n);
+  DBIM_CHECK(lp.x.size() == n);
   VertexCoverResult result;
   result.in_cover.assign(n, false);
   if (g.num_edges() == 0) return result;
 
+  // Nemhauser–Trotter: from a half-integral LP optimum, the 1-vertices are
+  // in some optimal cover and the 0-vertices in none; only the
+  // half-vertices need branching. No edge joins a half-vertex to a
+  // 0-vertex (x_u + x_v >= 1), so kernel edges are exactly the edges
+  // between two half-vertices.
+  std::vector<char> half(n, 0);
+  for (uint32_t v = 0; v < n; ++v) {
+    if (lp.x[v] > 0.75) {
+      result.in_cover[v] = true;
+      result.value += weights[v];
+    } else if (lp.x[v] > 0.25) {
+      half[v] = 1;
+    }
+  }
+
+  // Kernel components by union-find, rooted at their smallest vertex, so an
+  // ascending sweep meets every root before its members: components come
+  // out numbered by smallest vertex, members relabelled in vertex order.
+  std::vector<uint32_t> parent(n);
+  for (uint32_t v = 0; v < n; ++v) parent[v] = v;
+  auto find = [&](uint32_t v) {
+    while (parent[v] != v) {
+      parent[v] = parent[parent[v]];
+      v = parent[v];
+    }
+    return v;
+  };
+  for (const auto& [a, b] : g.edges()) {
+    if (!half[a] || !half[b]) continue;
+    const uint32_t ra = find(a);
+    const uint32_t rb = find(b);
+    if (ra < rb) {
+      parent[rb] = ra;
+    } else if (rb < ra) {
+      parent[ra] = rb;
+    }
+  }
+  std::vector<uint32_t> comp(n);   // kernel component of a half-vertex
+  std::vector<uint32_t> local(n);  // its index within that component
+  std::vector<std::vector<uint32_t>> members;
+  for (uint32_t v = 0; v < n; ++v) {
+    if (!half[v]) continue;
+    const uint32_t root = find(v);
+    if (root == v) {
+      comp[v] = static_cast<uint32_t>(members.size());
+      members.emplace_back();
+    } else {
+      comp[v] = comp[root];
+    }
+    local[v] = static_cast<uint32_t>(members[comp[v]].size());
+    members[comp[v]].push_back(v);
+  }
+  std::vector<SimpleGraph> kernels;
+  kernels.reserve(members.size());
+  for (const auto& m : members) kernels.emplace_back(m.size());
+  for (const auto& [a, b] : g.edges()) {
+    if (half[a] && half[b]) kernels[comp[a]].AddEdge(local[a], local[b]);
+  }
+
   const Deadline deadline(options.deadline_seconds);
-  const auto [comp, num_comps] = g.Components();
-
-  for (size_t c = 0; c < num_comps; ++c) {
-    std::vector<uint32_t> members;
-    for (uint32_t v = 0; v < n; ++v) {
-      if (comp[v] == c) members.push_back(v);
+  for (size_t c = 0; c < members.size(); ++c) {
+    SimpleGraph& kernel = kernels[c];
+    if (kernel.num_edges() == 0) continue;
+    kernel.Normalize();
+    std::vector<double> kernel_w(members[c].size());
+    for (uint32_t i = 0; i < members[c].size(); ++i) {
+      kernel_w[i] = weights[members[c][i]];
     }
-    if (members.size() < 2) continue;
-    const SimpleGraph sub = g.InducedSubgraph(members);
-    if (sub.num_edges() == 0) continue;
-    std::vector<double> sub_w(members.size());
-    for (uint32_t i = 0; i < members.size(); ++i) {
-      sub_w[i] = weights[members[i]];
-    }
-
-    // Nemhauser–Trotter: from a half-integral LP optimum, the 1-vertices
-    // are in some optimal cover and the 0-vertices in none; only the
-    // half-vertices need branching.
-    const FractionalVcResult lp = FractionalVertexCover(sub, sub_w);
-    std::vector<uint32_t> kernel;
-    for (uint32_t i = 0; i < members.size(); ++i) {
-      if (lp.x[i] > 0.75) {
-        result.in_cover[members[i]] = true;
-        result.value += sub_w[i];
-      } else if (lp.x[i] > 0.25) {
-        kernel.push_back(i);
-      }
-    }
-    if (kernel.empty()) continue;
-    const SimpleGraph kernel_graph = sub.InducedSubgraph(kernel);
-    if (kernel_graph.num_edges() == 0) continue;
-    std::vector<double> kernel_w(kernel.size());
-    for (uint32_t i = 0; i < kernel.size(); ++i) {
-      kernel_w[i] = sub_w[kernel[i]];
-    }
-    BnbSolver solver(kernel_graph, kernel_w, deadline, &result.bb_nodes);
+    BnbSolver solver(kernel, kernel_w, deadline, &result.bb_nodes);
     const auto [value, cover, optimal] = solver.Solve();
     result.value += value;
     if (!optimal) result.optimal = false;
-    for (uint32_t i = 0; i < kernel.size(); ++i) {
-      if (cover[i]) result.in_cover[members[kernel[i]]] = true;
+    for (uint32_t i = 0; i < members[c].size(); ++i) {
+      if (cover[i]) result.in_cover[members[c][i]] = true;
     }
   }
   return result;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/timer.h"
+#include "graph/fractional_vc.h"
 #include "graph/graph.h"
 
 namespace dbim {
@@ -33,13 +34,23 @@ struct VertexCoverResult {
 /// constraints whose minimal inconsistent subsets all have size two (FDs and
 /// all the experiment DC sets), on the conflict graph.
 ///
-/// Pipeline: connected-component decomposition, Nemhauser–Trotter
-/// kernelization via the fractional LP (variables at 0 are excluded, at 1
-/// included; only the half-integral kernel is branched on), then branch &
-/// bound on a maximum-degree vertex with the fractional LP as lower bound
-/// and a greedy cover as incumbent.
+/// Pipeline: one fractional LP over the whole graph, then Nemhauser–Trotter
+/// kernelization on its half-integral optimum (vertices at 1 are in the
+/// cover, vertices at 0 are not, and only the x = 1/2 kernel is searched).
+/// The kernel alone is split into connected components, bucketed in one
+/// pass over the edges; each component runs branch & bound on a
+/// maximum-degree vertex with the fractional LP as lower bound and a greedy
+/// cover as incumbent. The deadline is shared across components.
 VertexCoverResult MinWeightVertexCover(const SimpleGraph& g,
                                        const std::vector<double>& weights,
+                                       const VertexCoverOptions& options = {});
+
+/// The same, kernelizing on `lp`, a half-integral optimum of the fractional
+/// cover LP of (g, weights) as FractionalVertexCover returns it — so a
+/// caller that needs the LP anyway (I_lin_R) pays for one max-flow, not two.
+VertexCoverResult MinWeightVertexCover(const SimpleGraph& g,
+                                       const std::vector<double>& weights,
+                                       const FractionalVcResult& lp,
                                        const VertexCoverOptions& options = {});
 
 }  // namespace dbim

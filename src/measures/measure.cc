@@ -16,6 +16,13 @@ const ConflictGraph& MeasureContext::conflict_graph() {
   return *conflict_graph_;
 }
 
+const RepairInstance& MeasureContext::repair_instance() {
+  std::call_once(repair_instance_once_, [&] {
+    repair_instance_ = RepairInstance::Build(conflict_graph());
+  });
+  return *repair_instance_;
+}
+
 void MeasureContext::Materialize() {
   conflict_graph();  // transitively materializes violations()
 }

@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 
+#include "measures/repair_instance.h"
 #include "relational/database.h"
 #include "violations/conflict_graph.h"
 #include "violations/detector.h"
@@ -15,13 +16,13 @@ namespace dbim {
 
 /// Shared per-(Sigma, D) computation state. Detecting violations dominates
 /// the cost of most measures (the paper observes the SQL self-join dominates
-/// for large datasets); the context computes MI_Sigma(D) and the conflict
-/// graph once and lets every measure reuse them.
+/// for large datasets); the context computes MI_Sigma(D), the conflict
+/// graph and the repair instance once and lets every measure reuse them.
 ///
-/// Thread safety: the lazy members memoize through std::call_once, so
+/// Thread safety: the three lazy members memoize through std::call_once, so
 /// concurrent measure evaluations on one shared context (see
 /// MeasureEngineOptions::parallel_measures) race neither on first
-/// materialization nor afterwards — once set, both are only ever read.
+/// materialization nor afterwards — once set, they are only ever read.
 /// Everything else a measure reaches through the context is const:
 /// detection, ids()/deletion_cost()/pool() on the database, and the graph
 /// accessors. (The Database's lazily cached row-major fact(id) view is NOT
@@ -48,11 +49,18 @@ class MeasureContext {
   /// Conflict structure of the database, computed on first use.
   const ConflictGraph& conflict_graph();
 
-  /// Eagerly computes both lazy members on the calling thread. call_once
-  /// already makes lazy first use safe under concurrency, but stragglers
-  /// would block on the one thread doing the work — materializing before a
-  /// parallel evaluation keeps workers compute-bound and keeps the first
-  /// graph consumer's timing from absorbing the build.
+  /// The covering instance of I_R and I_lin_R, with its whole-graph
+  /// fractional vertex cover when every witness is binary; computed on
+  /// first use, so the first of the two measures to run pays for the LP.
+  const RepairInstance& repair_instance();
+
+  /// Eagerly computes violations() and conflict_graph() on the calling
+  /// thread. call_once already makes lazy first use safe under concurrency,
+  /// but stragglers would block on the one thread doing the work —
+  /// materializing before a parallel evaluation keeps workers compute-bound
+  /// and keeps the first graph consumer's timing from absorbing the build.
+  /// The repair instance stays lazy: it is solve work, and only the repair
+  /// measures need it.
   void Materialize();
 
  private:
@@ -60,8 +68,10 @@ class MeasureContext {
   const Database& db_;
   std::once_flag violations_once_;
   std::once_flag conflict_graph_once_;
+  std::once_flag repair_instance_once_;
   std::optional<ViolationSet> violations_;
   std::optional<ConflictGraph> conflict_graph_;
+  std::optional<RepairInstance> repair_instance_;
 };
 
 /// An inconsistency measure I(Sigma, D) -> [0, inf) (paper Section 3). The

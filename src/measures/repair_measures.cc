@@ -1,99 +1,59 @@
 #include "measures/repair_measures.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
-#include "graph/fractional_vc.h"
-#include "graph/graph.h"
 #include "graph/vertex_cover.h"
 #include "lp/covering.h"
+#include "measures/repair_instance.h"
 
 namespace dbim {
 
 namespace {
 
-// Decomposition shared by I_R and I_lin_R: forced cost of self-inconsistent
-// facts plus a covering structure over the remaining problematic vertices.
-struct RepairInstance {
-  double forced_cost = 0.0;
-  std::vector<uint32_t> live;            // conflict-graph vertices to cover
-  std::vector<uint32_t> relabel;         // cg vertex -> live index
-  std::vector<double> weights;           // per live vertex
-  SimpleGraph graph{0};                  // binary witnesses
-  std::vector<std::vector<uint32_t>> hyper;  // size >= 3 witnesses
-};
-
-RepairInstance BuildInstance(const ConflictGraph& cg) {
-  RepairInstance inst;
-  inst.relabel.assign(cg.num_vertices(), UINT32_MAX);
-  for (uint32_t v = 0; v < cg.num_vertices(); ++v) {
-    if (cg.self_inconsistent()[v]) {
-      inst.forced_cost += cg.weights()[v];
-    } else {
-      inst.relabel[v] = static_cast<uint32_t>(inst.live.size());
-      inst.live.push_back(v);
-      inst.weights.push_back(cg.weights()[v]);
-    }
+// An optimal integral cover of the instance's live vertices: value and
+// membership per live index.
+std::pair<double, std::vector<bool>> SolveCover(const RepairInstance& inst,
+                                                double deadline_seconds) {
+  if (inst.binary()) {
+    VertexCoverOptions options;
+    options.deadline_seconds = deadline_seconds;
+    VertexCoverResult cover =
+        MinWeightVertexCover(inst.graph, inst.weights, inst.lp, options);
+    return {cover.value, std::move(cover.in_cover)};
   }
-  inst.graph = SimpleGraph(inst.live.size());
-  for (const auto& [a, b] : cg.edges()) {
-    // Minimality guarantees neither endpoint is self-inconsistent.
-    inst.graph.AddEdge(inst.relabel[a], inst.relabel[b]);
-  }
-  inst.graph.Normalize();
-  for (const auto& he : cg.hyperedges()) {
-    std::vector<uint32_t> e;
-    for (const uint32_t v : he) e.push_back(inst.relabel[v]);
-    std::sort(e.begin(), e.end());
-    inst.hyper.push_back(std::move(e));
-  }
-  return inst;
+  CoveringOptions options;
+  options.deadline_seconds = deadline_seconds;
+  CoveringResult cover = SolveCoveringIlp(inst.ToCovering(), options);
+  return {cover.value, std::move(cover.chosen)};
 }
 
-CoveringProblem ToCovering(const RepairInstance& inst) {
-  CoveringProblem problem;
-  problem.costs = inst.weights;
-  for (const auto& [a, b] : inst.graph.edges()) {
-    problem.sets.push_back({std::min(a, b), std::max(a, b)});
-  }
-  for (const auto& e : inst.hyper) problem.sets.push_back(e);
-  return problem;
+LpSolution SolveRelaxation(const RepairInstance& inst) {
+  LpSolution lp = SolveCoveringLpRelaxation(inst.ToCovering());
+  DBIM_CHECK_MSG(lp.status == LpStatus::kOptimal,
+                 "covering LP unsolved (status %d)",
+                 static_cast<int>(lp.status));
+  return lp;
 }
 
 }  // namespace
 
 double MinRepairMeasure::Evaluate(MeasureContext& context) const {
-  const RepairInstance inst = BuildInstance(context.conflict_graph());
-  if (inst.hyper.empty()) {
-    VertexCoverOptions options;
-    options.deadline_seconds = options_.deadline_seconds;
-    return inst.forced_cost +
-           MinWeightVertexCover(inst.graph, inst.weights, options).value;
-  }
-  CoveringOptions options;
-  options.deadline_seconds = options_.deadline_seconds;
-  return inst.forced_cost + SolveCoveringIlp(ToCovering(inst), options).value;
+  const RepairInstance& inst = context.repair_instance();
+  return inst.forced_cost +
+         SolveCover(inst, options_.deadline_seconds).first;
 }
 
 std::vector<FactId> MinRepairMeasure::OptimalRepair(
     MeasureContext& context) const {
   const ConflictGraph& cg = context.conflict_graph();
-  const RepairInstance inst = BuildInstance(cg);
+  const RepairInstance& inst = context.repair_instance();
   std::vector<FactId> repair;
   for (uint32_t v = 0; v < cg.num_vertices(); ++v) {
     if (cg.self_inconsistent()[v]) repair.push_back(cg.fact_of(v));
   }
-  std::vector<bool> chosen;
-  if (inst.hyper.empty()) {
-    VertexCoverOptions options;
-    options.deadline_seconds = options_.deadline_seconds;
-    chosen = MinWeightVertexCover(inst.graph, inst.weights, options).in_cover;
-  } else {
-    CoveringOptions options;
-    options.deadline_seconds = options_.deadline_seconds;
-    chosen = SolveCoveringIlp(ToCovering(inst), options).chosen;
-  }
+  const std::vector<bool> chosen =
+      SolveCover(inst, options_.deadline_seconds).second;
   for (uint32_t i = 0; i < inst.live.size(); ++i) {
     if (chosen[i]) repair.push_back(cg.fact_of(inst.live[i]));
   }
@@ -102,36 +62,23 @@ std::vector<FactId> MinRepairMeasure::OptimalRepair(
 }
 
 double LinRepairMeasure::Evaluate(MeasureContext& context) const {
-  const RepairInstance inst = BuildInstance(context.conflict_graph());
-  if (inst.hyper.empty()) {
-    return inst.forced_cost +
-           FractionalVertexCover(inst.graph, inst.weights).value;
-  }
-  const LpSolution lp = SolveCoveringLpRelaxation(ToCovering(inst));
-  DBIM_CHECK_MSG(lp.status == LpStatus::kOptimal,
-                 "covering LP unsolved (status %d)",
-                 static_cast<int>(lp.status));
-  return inst.forced_cost + lp.objective;
+  const RepairInstance& inst = context.repair_instance();
+  if (inst.binary()) return inst.forced_cost + inst.lp.value;
+  return inst.forced_cost + SolveRelaxation(inst).objective;
 }
 
 std::vector<std::pair<FactId, double>> LinRepairMeasure::FractionalSolution(
     MeasureContext& context) const {
   const ConflictGraph& cg = context.conflict_graph();
-  const RepairInstance inst = BuildInstance(cg);
+  const RepairInstance& inst = context.repair_instance();
   std::vector<std::pair<FactId, double>> solution;
   for (uint32_t v = 0; v < cg.num_vertices(); ++v) {
     if (cg.self_inconsistent()[v]) {
       solution.emplace_back(cg.fact_of(v), 1.0);
     }
   }
-  std::vector<double> x;
-  if (inst.hyper.empty()) {
-    x = FractionalVertexCover(inst.graph, inst.weights).x;
-  } else {
-    const LpSolution lp = SolveCoveringLpRelaxation(ToCovering(inst));
-    DBIM_CHECK(lp.status == LpStatus::kOptimal);
-    x = lp.x;
-  }
+  const std::vector<double> x =
+      inst.binary() ? inst.lp.x : SolveRelaxation(inst).x;
   for (uint32_t i = 0; i < inst.live.size(); ++i) {
     solution.emplace_back(cg.fact_of(inst.live[i]), x[i]);
   }

@@ -21,8 +21,9 @@ struct RepairMeasureOptions {
 ///
 /// Computation: self-inconsistent facts are forced deletions; the rest is a
 /// minimum weighted vertex cover of the conflict graph (exact branch &
-/// bound with Nemhauser–Trotter kernelization), or a covering ILP when
-/// minimal witnesses have size >= 3.
+/// bound on the Nemhauser–Trotter kernel of the context's shared
+/// fractional cover, see RepairInstance), or a covering ILP when minimal
+/// witnesses have size >= 3.
 class MinRepairMeasure : public InconsistencyMeasure {
  public:
   explicit MinRepairMeasure(RepairMeasureOptions options = {})
@@ -47,7 +48,8 @@ class MinRepairMeasure : public InconsistencyMeasure {
 /// Computation: self-inconsistent facts contribute their full cost (their
 /// covering constraint forces x = 1); binary witnesses form the fractional
 /// weighted vertex-cover LP, solved exactly via max-flow on the bipartite
-/// double cover; hyperedge witnesses fall back to the simplex.
+/// double cover once per context (RepairInstance::lp, which I_R kernelizes
+/// on too); hyperedge witnesses fall back to the simplex.
 class LinRepairMeasure : public InconsistencyMeasure {
  public:
   std::string name() const override { return "I_lin_R"; }

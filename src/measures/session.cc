@@ -367,9 +367,9 @@ bool MeasureSession::VacuumLocked(double waste_threshold) {
     num_vacuums_.fetch_add(1, std::memory_order_relaxed);
     compacted = true;
   }
-  // Slot compaction rides along: dead subset slots accumulate in the
-  // incremental indices under churn exactly like dead pool entries, and
-  // the same threshold bounds both.
+  // Slot compaction rides along: Apply already keeps each incremental
+  // index's dead subset slots within max(live, 1024), and a vacuum squeezes
+  // them to the same threshold as the pool.
   for (auto& state : handles_) {
     if (state != nullptr && state->incremental) {
       state->incremental->CompactSlotsIfWasteful(waste_threshold);

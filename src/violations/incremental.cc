@@ -16,6 +16,11 @@ namespace {
 // O(|Sigma|)).
 constexpr double kActivityDecay = 0.95;
 
+// Dead subset slots tolerated regardless of the live count before removal
+// compacts (see RemoveSubsetsInvolving): small indices never pay for a
+// rebuild, large ones keep at most half their slots dead.
+constexpr size_t kMinDeadSlotsToCompact = 1024;
+
 }  // namespace
 
 IncrementalViolationIndex::IncrementalViolationIndex(
@@ -372,6 +377,14 @@ void IncrementalViolationIndex::RemoveSubsetsInvolving(FactId id) {
     }
   }
   postings_.erase(it);
+  // Removal is the only place slots die: compacting once the dead outnumber
+  // max(live, kMinDeadSlotsToCompact) keeps stored slots within
+  // 2 * live + kMinDeadSlotsToCompact at amortized O(1) per dead slot, with
+  // no vacuum needed. Compaction keeps live-slot (so snapshot) order.
+  if (subsets_.size() - live_subsets_ >
+      std::max(live_subsets_, kMinDeadSlotsToCompact)) {
+    CompactSlots();
+  }
 }
 
 void IncrementalViolationIndex::RecomputeSelfInconsistent(

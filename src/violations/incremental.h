@@ -145,15 +145,16 @@ class IncrementalViolationIndex {
   /// its edge list).
   ViolationSet Snapshot() const;
 
-  /// Stored subset slots, live + dead. Dead slots accumulate under
-  /// sustained churn (RemoveSubsetsInvolving only marks); CompactSlots
-  /// reclaims them.
+  /// Stored subset slots, live + dead. Removal only marks slots dead, and
+  /// Apply compacts once the dead exceed max(live, 1024), so this stays at
+  /// most 2 * max(live, 1) + 1024 without any vacuum; CompactSlots reclaims
+  /// the rest on demand.
   size_t NumStoredSlots() const { return subsets_.size(); }
 
   /// Rebuilds `subsets_`, the member postings and the canonical-key map
   /// without dead slots. O(live state); all public counters are untouched.
-  /// MeasureSession::Vacuum runs this alongside its pool compaction so
-  /// long trajectories stay bounded.
+  /// MeasureSession::Vacuum runs this (threshold form) alongside its pool
+  /// compaction.
   void CompactSlots();
 
   /// CompactSlots when the dead-slot fraction exceeds `waste_threshold`.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "constraints/parser.h"
 #include "graph/bron_kerbosch.h"
 #include "graph/fractional_vc.h"
 #include "graph/graph.h"
@@ -12,6 +13,10 @@
 #include "graph/max_flow.h"
 #include "graph/p4_free.h"
 #include "graph/vertex_cover.h"
+#include "measures/measure.h"
+#include "measures/repair_measures.h"
+#include "test_util.h"
+#include "violations/detector.h"
 
 namespace dbim {
 namespace {
@@ -252,8 +257,80 @@ TEST_P(VertexCoverSweep, MatchesBruteForce) {
   }
 }
 
+// Disjoint unions of weighted random graphs: many components, some of
+// them odd cycles or cliques whose fractional optimum is a half-integral
+// kernel. The whole-graph LP must kernelize every component at once and
+// the per-kernel-component searches must add up to the global optimum.
+TEST_P(VertexCoverSweep, DisjointUnionsMatchBruteForce) {
+  Rng rng(GetParam() * 53 + 11);
+  const size_t num_parts = 3 + rng.UniformIndex(4);
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  size_t n = 0;
+  for (size_t p = 0; p < num_parts; ++p) {
+    const size_t size = 2 + rng.UniformIndex(4);
+    if (n + size > 18) break;
+    const SimpleGraph part =
+        RandomGraph(size, 0.6, GetParam() * 7919 + p * 131 + 5);
+    for (const auto& [a, b] : part.edges()) {
+      edges.emplace_back(static_cast<uint32_t>(n + a),
+                         static_cast<uint32_t>(n + b));
+    }
+    n += size;
+  }
+  SimpleGraph g(n);
+  for (const auto& [a, b] : edges) g.AddEdge(a, b);
+  g.Normalize();
+  std::vector<double> w(n);
+  for (auto& x : w) x = 1.0 + rng.UniformIndex(5);
+
+  const auto result = MinWeightVertexCover(g, w);
+  EXPECT_TRUE(result.optimal);
+  EXPECT_NEAR(result.value, BruteMinVertexCover(g, w), 1e-7);
+  double cover_weight = 0.0;
+  for (uint32_t v = 0; v < n; ++v) {
+    if (result.in_cover[v]) cover_weight += w[v];
+  }
+  EXPECT_NEAR(cover_weight, result.value, 1e-7);
+  for (const auto& [a, b] : g.edges()) {
+    EXPECT_TRUE(result.in_cover[a] || result.in_cover[b]);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, VertexCoverSweep,
                          ::testing::Range(1, 31));
+
+// I_R and I_lin_R read one repair instance off a shared context (one
+// whole-graph LP for both); their values must equal the standalone solvers
+// run on the same conflict graph, bit for bit.
+TEST(VertexCover, SharedContextRepairMeasuresMatchStandaloneSolvers) {
+  const auto schema = testing::MakeAbcSchema();
+  std::vector<DenialConstraint> dcs;
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.B = t'.B & t.C != t'.C)"));
+  const ViolationDetector detector(schema, dcs);
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Database db = testing::MakeRandomDatabase(schema, 0, 60, 6, seed);
+    Rng rng(seed * 17 + 3);
+    for (const FactId id : db.ids()) {
+      db.set_deletion_cost(id, 1.0 + rng.UniformIndex(5));
+    }
+    MeasureContext context(detector, db);
+    const double exact = MinRepairMeasure().Evaluate(context);
+    const double lin = LinRepairMeasure().Evaluate(context);
+
+    const ConflictGraph& cg = context.conflict_graph();
+    ASSERT_EQ(cg.num_self_inconsistent(), 0u);
+    ASSERT_FALSE(cg.HasHyperedges());
+    SimpleGraph g(cg.num_vertices());
+    for (const auto& [a, b] : cg.edges()) g.AddEdge(a, b);
+    g.Normalize();
+    EXPECT_EQ(exact, MinWeightVertexCover(g, cg.weights()).value)
+        << "seed " << seed;
+    EXPECT_EQ(lin, FractionalVertexCover(g, cg.weights()).value)
+        << "seed " << seed;
+    EXPECT_LE(lin, exact);
+  }
+}
 
 TEST(VertexCover, EmptyGraph) {
   SimpleGraph g(5);

@@ -345,5 +345,50 @@ TEST(SlotCompaction, ChurnStaysBoundedUnderPeriodicCompaction) {
   }
 }
 
+// Without any explicit compaction, Apply itself bounds dead slots: once
+// they outnumber max(live, 1024) removal compacts, so a long high-churn
+// trajectory keeps stored slots within 2 * max(live, 1) + 1024 throughout,
+// and the compactions it runs leave every observable answer intact.
+TEST(SlotCompaction, ApplyBoundsDeadSlotsWithoutExplicitCompaction) {
+  const auto schema = MakeAbcSchema();
+  std::vector<DenialConstraint> dcs;
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  const Database start = MakeRandomDatabase(schema, 0, 80, 3, 91);
+  IncrementalViolationIndex index(schema, dcs, start);
+  Rng rng(92);
+
+  size_t compactions = 0;
+  size_t previous_stored = index.NumStoredSlots();
+  for (int step = 0; step < 2000; ++step) {
+    const std::vector<FactId> ids = index.db().ids();
+    const size_t kind = ids.size() < 40 ? 0 : rng.UniformIndex(3);
+    if (kind == 0) {
+      index.Apply(RepairOperation::Insertion(Fact(
+          0, {Value(static_cast<int64_t>(rng.UniformInt(0, 2))),
+              Value(static_cast<int64_t>(rng.UniformInt(0, 2))),
+              Value(static_cast<int64_t>(rng.UniformInt(0, 2)))})));
+    } else if (kind == 1) {
+      index.Apply(
+          RepairOperation::Deletion(ids[rng.UniformIndex(ids.size())]));
+    } else {
+      index.Apply(RepairOperation::Update(
+          ids[rng.UniformIndex(ids.size())], 1,
+          Value(static_cast<int64_t>(rng.UniformInt(0, 2)))));
+    }
+    // Removal only marks and insertion only appends, so a drop in stored
+    // slots is a compaction Apply ran on its own.
+    if (index.NumStoredSlots() < previous_stored) ++compactions;
+    previous_stored = index.NumStoredSlots();
+    ASSERT_LE(index.NumStoredSlots(),
+              2 * std::max<size_t>(index.NumMinimalSubsets(), 1) + 1024)
+        << "step " << step;
+    if (step % 250 == 249) {
+      ExpectAgrees(index, schema, dcs, "churn step " + std::to_string(step));
+    }
+  }
+  EXPECT_GT(compactions, 0u);
+  ExpectAgrees(index, schema, dcs, "after churn");
+}
+
 }  // namespace
 }  // namespace dbim

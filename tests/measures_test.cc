@@ -1,11 +1,17 @@
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "constraints/parser.h"
 #include "measures/basic_measures.h"
 #include "measures/mc_measures.h"
 #include "measures/registry.h"
 #include "measures/repair_measures.h"
+#include "measures/session.h"
 #include "measures/shapley.h"
 #include "test_util.h"
 #include "violations/detector.h"
@@ -13,8 +19,11 @@
 namespace dbim {
 namespace {
 
+using testing::MakeAbcSchema;
+using testing::MakeRandomDatabase;
 using testing::MakeRunningExample;
 using testing::RunningExample;
+using testing::ScriptedWorkload;
 
 class RunningExampleMeasures : public ::testing::Test {
  protected:
@@ -207,6 +216,157 @@ TEST(RepairMeasures, HonorsDeletionCosts) {
   // for 45. Choosing {2, 4} costs 20; {3, 5, 2} = 12; {3, 5, 4} = 12;
   // {2, 4} dominated. Minimum is 12.
   EXPECT_DOUBLE_EQ(exact.EvaluateFresh(detector, weighted), 12.0);
+}
+
+// ---- I_R against its definition ----
+
+// I_R under R_subset straight from the paper's definition: the cheapest
+// set of deletions whose complement satisfies every constraint. A kept set
+// is consistent iff no assignment of kept facts to a constraint's tuple
+// variables (repetition allowed, so contradictory facts count) makes the
+// body hold. Each body is evaluated directly on facts, once per assignment
+// over the whole database, and an assignment lies in a kept set iff its
+// support does — no detector, no minimality, no conflict graph.
+double DefinitionMinRepair(const Database& db,
+                           const std::vector<DenialConstraint>& dcs) {
+  const std::vector<FactId> ids = db.ids();
+  const size_t n = ids.size();
+  std::vector<uint32_t> supports;  // bitmask of facts, one per violation
+  for (const DenialConstraint& dc : dcs) {
+    std::vector<uint32_t> pick(dc.num_vars(), 0);
+    std::vector<const Fact*> assignment(dc.num_vars());
+    while (true) {
+      bool typed = true;
+      uint32_t support = 0;
+      for (uint32_t v = 0; v < dc.num_vars(); ++v) {
+        assignment[v] = &db.fact(ids[pick[v]]);
+        typed = typed && assignment[v]->relation() == dc.var_relation(v);
+        support |= 1u << pick[v];
+      }
+      if (typed && dc.BodyHolds(assignment)) supports.push_back(support);
+      uint32_t v = 0;
+      while (v < dc.num_vars() && ++pick[v] == n) pick[v++] = 0;
+      if (v == dc.num_vars()) break;
+    }
+  }
+  double best = 1e18;
+  for (uint32_t kept = 0; kept < (1u << n); ++kept) {
+    const bool consistent =
+        std::none_of(supports.begin(), supports.end(),
+                     [&](uint32_t s) { return (s & ~kept) == 0; });
+    if (!consistent) continue;
+    double cost = 0.0;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (!((kept >> i) & 1u)) cost += db.deletion_cost(ids[i]);
+    }
+    best = std::min(best, cost);
+  }
+  return best;
+}
+
+double ValueOf(const BatchReport& report, const std::string& name) {
+  for (const MeasureResult& r : report.measures) {
+    if (r.name == name) return r.value;
+  }
+  ADD_FAILURE() << "no measure " << name;
+  return -1.0;
+}
+
+// Weighted random databases of at most 12 facts (deletion costs 1-5) under
+// a binary Sigma with a contradictory-fact constraint (vertex-cover path
+// with forced deletions) and under a ternary one (covering-ILP path),
+// driven through short mutation trajectories: the session's incremental
+// report and the one-shot EvaluateOne report must both equal the
+// definition at every step.
+TEST(RepairMeasures, MinRepairMatchesDefinitionOnSmallWeightedDatabases) {
+  const auto schema = MakeAbcSchema();
+  const std::vector<std::vector<std::string>> sigmas = {
+      {"!(t.A = t'.A & t.B != t'.B)", "!(t.B = t'.B & t.C > t'.C)",
+       "!(t.A = 0 & t.C = 2)"},
+      {"!(t.A = t'.A & t'.B = t''.B & t.C < t''.C)", "!(t.A = 0 & t.C = 2)"},
+  };
+  for (size_t k = 0; k < sigmas.size(); ++k) {
+    std::vector<DenialConstraint> dcs;
+    for (const std::string& text : sigmas[k]) {
+      dcs.push_back(*ParseDc(*schema, 0, text));
+    }
+    MeasureSessionOptions options;
+    options.registry.include_mc = false;
+    options.only = {"I_R", "I_lin_R"};
+    for (uint64_t seed = 1; seed <= 15; ++seed) {
+      MeasureSession session(schema, dcs, options);
+      Rng rng(seed * 101 + k);
+      Database start = MakeRandomDatabase(schema, 0, 4 + rng.UniformIndex(6),
+                                           3, seed * 13 + k);
+      for (const FactId id : start.ids()) {
+        start.set_deletion_cost(id, 1.0 + rng.UniformIndex(5));
+      }
+      const DbHandle handle = session.Register(start);
+      ScriptedWorkload workload(seed);
+      for (int step = 0; step < 6; ++step) {
+        const Database& db = session.db(handle);
+        if (db.size() <= 12) {
+          const std::string where = "sigma " + std::to_string(k) + " seed " +
+                                    std::to_string(seed) + " step " +
+                                    std::to_string(step);
+          const double expected = DefinitionMinRepair(db, dcs);
+          const BatchReport incremental = session.Evaluate(handle);
+          const BatchReport one_shot = session.EvaluateOne(db);
+          EXPECT_EQ(ValueOf(incremental, "I_R"), expected) << where;
+          EXPECT_EQ(ValueOf(one_shot, "I_R"), expected) << where;
+          EXPECT_LE(ValueOf(incremental, "I_lin_R"), expected + 1e-9)
+              << where;
+        }
+        session.Apply(handle, workload.Next(db));
+      }
+    }
+  }
+}
+
+// ---- Parallel measures ----
+
+// parallel_measures runs I_R and I_lin_R concurrently on one context, so
+// both race to build the shared repair instance; values must be
+// bit-identical to sequential evaluation. Also races the two repair
+// measures directly on one context from raw threads.
+TEST(ParallelMeasures, BitIdenticalToSequentialOnSharedContext) {
+  const auto schema = MakeAbcSchema();
+  std::vector<DenialConstraint> dcs;
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.B = t'.B & t.C != t'.C)"));
+  MeasureSessionOptions sequential;
+  sequential.registry.include_mc = false;
+  MeasureSessionOptions parallel = sequential;
+  parallel.parallel_measures = true;
+  const MeasureSession seq_session(schema, dcs, sequential);
+  const MeasureSession par_session(schema, dcs, parallel);
+  const ViolationDetector detector(schema, dcs);
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Database db = MakeRandomDatabase(schema, 0, 50, 8, seed);
+    Rng rng(seed + 1000);
+    for (const FactId id : db.ids()) {
+      db.set_deletion_cost(id, 1.0 + rng.UniformIndex(5));
+    }
+    const BatchReport expected = seq_session.EvaluateOne(db);
+    const BatchReport actual = par_session.EvaluateOne(db);
+    ASSERT_EQ(expected.measures.size(), actual.measures.size());
+    for (size_t m = 0; m < expected.measures.size(); ++m) {
+      EXPECT_EQ(expected.measures[m].name, actual.measures[m].name);
+      EXPECT_EQ(expected.measures[m].value, actual.measures[m].value)
+          << "seed " << seed << " " << expected.measures[m].name;
+    }
+
+    MeasureContext context(detector, db);
+    context.Materialize();
+    double exact = 0.0;
+    double lin = 0.0;
+    std::thread a([&] { exact = MinRepairMeasure().Evaluate(context); });
+    std::thread b([&] { lin = LinRepairMeasure().Evaluate(context); });
+    a.join();
+    b.join();
+    EXPECT_EQ(exact, ValueOf(expected, "I_R")) << "seed " << seed;
+    EXPECT_EQ(lin, ValueOf(expected, "I_lin_R")) << "seed " << seed;
+  }
 }
 
 // ---- Shapley attribution ----
